@@ -31,13 +31,15 @@ race:
 cover:
 	go test -cover ./...
 
-# Short fuzz passes: the RESP protocol reader (internal/resp/fuzz_test.go)
-# and the minisql storage engine's page decoder + B-tree operations
-# (internal/minisql/storage_fuzz_test.go).
+# Short fuzz passes: the RESP protocol reader (internal/resp/fuzz_test.go),
+# the minisql storage engine's page decoder + B-tree operations
+# (internal/minisql/storage_fuzz_test.go), and the gzip encoder against the
+# standard library's decoder (internal/pack/deflate_test.go).
 fuzz:
 	go test ./internal/resp -run='^$$' -fuzz=FuzzRead -fuzztime=10s
 	go test ./internal/minisql -run='^$$' -fuzz=FuzzPageDecode -fuzztime=10s
 	go test ./internal/minisql -run='^$$' -fuzz=FuzzBTreeOps -fuzztime=10s
+	go test ./internal/pack -run='^$$' -fuzz=FuzzCompress -fuzztime=10s
 
 # The chaos conformance suite at aggressive settings: 4x the operations,
 # doubled fault rates, race detector on — every store must still pass.

@@ -46,10 +46,19 @@ func TestETagChangesWithContent(t *testing.T) {
 	if err != nil || v2 == v1 {
 		t.Fatalf("version did not change: %q -> %q, %v", v1, v2, err)
 	}
-	// Same content gives the same tag again (content-derived ETags).
+	// Rewriting earlier content still gets a fresh tag: ETags are write
+	// generations, so an old tag never comes back (no ABA for If-Match).
 	v3, err := c.PutVersioned(ctx, "k", []byte("one"))
-	if err != nil || v3 != v1 {
-		t.Fatalf("content-derived ETag broken: %q vs %q", v3, v1)
+	if err != nil || v3 == v1 || v3 == v2 {
+		t.Fatalf("rewrite of earlier content reused a tag: %q after %q, %q (%v)", v3, v1, v2, err)
+	}
+	// So does a delete followed by a re-create.
+	if err := c.Delete(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	v4, err := c.PutVersioned(ctx, "k", []byte("one"))
+	if err != nil || v4 == v1 || v4 == v3 {
+		t.Fatalf("re-create reused a tag: %q (%v)", v4, err)
 	}
 }
 

@@ -3,7 +3,6 @@ package cloudsim
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -46,6 +45,7 @@ type Server struct {
 
 	mu      sync.RWMutex
 	buckets map[string]map[string]object
+	gen     uint64 // write generation, the source of ETags; guarded by mu
 
 	rec     *monitor.Recorder
 	metrics *monitor.Registry
@@ -64,6 +64,9 @@ func NewServer(p Profile) *Server {
 	s := &Server{
 		model:   newModel(p),
 		buckets: make(map[string]map[string]object),
+		// Start generations at the clock so a restarted server does not
+		// hand out tags a client may still hold from its previous run.
+		gen:     uint64(time.Now().UnixNano()),
 		rec:     monitor.New("cloudsim", 256),
 		metrics: monitor.NewRegistry(),
 	}
@@ -180,11 +183,13 @@ func (s *Server) Close() error {
 	return s.http.Close()
 }
 
-// etagOf computes a content hash used as the entity tag.
-func etagOf(data []byte) string {
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+// nextETagLocked returns the entity tag for a new write: the server-wide
+// write generation, so no two writes — not even of identical bytes, nor a
+// delete and re-create — ever share a tag and a stale If-Match can never
+// win. Callers hold s.mu.
+func (s *Server) nextETagLocked() string {
+	s.gen++
+	return fmt.Sprintf("\"%016x\"", s.gen)
 }
 
 // parsePath splits /v1/{bucket}[/{key}] using the escaped path so keys
@@ -233,7 +238,6 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		time.Sleep(s.model.delay(len(body)))
-		etag := etagOf(body)
 		ifMatch := r.Header.Get("If-Match")
 		createOnly := r.Header.Get("If-None-Match") == "*"
 		s.mu.Lock()
@@ -253,6 +257,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "precondition failed", http.StatusPreconditionFailed)
 			return
 		}
+		etag := s.nextETagLocked()
 		b[key] = object{data: body, etag: etag}
 		s.mu.Unlock()
 		w.Header().Set("ETag", etag)
@@ -405,7 +410,7 @@ func (s *Server) handleBatchPut(w http.ResponseWriter, r *http.Request, bucket s
 		s.buckets[bucket] = b
 	}
 	for _, o := range objs {
-		etag := etagOf(o.Value)
+		etag := s.nextETagLocked()
 		b[o.Key] = object{data: o.Value, etag: etag}
 		results = append(results, batchObject{Key: o.Key, ETag: etag})
 	}

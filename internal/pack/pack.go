@@ -10,10 +10,18 @@
 //
 // Frame layout: tag(1) | payload. Tag 0x00 = stored raw, 0x01 = gzip.
 //
+// Encoding uses the package's own DEFLATE encoder (deflate.go), whose set-up
+// cost scales with the value rather than with compress/flate's 32 KiB
+// window; decoding uses compress/gzip. Frames from either encoder decode the
+// same way.
+//
 // Hot-path note: CompressTo and DecompressTo are append-style — they write
-// into a caller-supplied destination and recycle the gzip writer/reader state
-// through per-codec pools, so steady-state use allocates nothing beyond what
-// the destination needs to grow. Compress and Decompress are thin wrappers.
+// into a caller-supplied destination and recycle encoder and gzip reader
+// state through pools. Steady-state compression allocates nothing beyond what
+// the destination needs to grow. Decompression allocates nothing for values
+// whose Huffman codes stay within 9 bits; longer codes make compress/flate's
+// inflater build link tables (a few small allocations per value, e.g. 2 for a
+// 4 KiB half-random value).
 package pack
 
 import (
@@ -43,18 +51,7 @@ type Codec struct {
 	// it the value is stored raw.
 	minRatio float64
 
-	writers sync.Pool // of *gzip.Writer
 	readers sync.Pool // of *gzReader
-	sinks   sync.Pool // of *sliceWriter
-}
-
-// sliceWriter adapts an append-destination to io.Writer for the gzip writer.
-// Pooled so the interface value and struct survive across operations.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // gzReader bundles a gzip.Reader with the bytes.Reader it decodes from, so a
@@ -67,7 +64,9 @@ type gzReader struct {
 // Option configures a Codec.
 type Option func(*Codec)
 
-// WithLevel sets the gzip compression level (gzip.BestSpeed..BestCompression).
+// WithLevel sets the gzip compression level, numbered as in compress/gzip:
+// HuffmanOnly (-2), DefaultCompression (-1), or 0 (store) to 9 (best).
+// Compression fails for any other level.
 func WithLevel(level int) Option { return func(c *Codec) { c.level = level } }
 
 // WithSkipThreshold sets the compressed/original ratio above which values are
@@ -75,9 +74,10 @@ func WithLevel(level int) Option { return func(c *Codec) { c.level = level } }
 // 0 disables the fallback entirely (always gzip).
 func WithSkipThreshold(ratio float64) Option { return func(c *Codec) { c.minRatio = ratio } }
 
-// New builds a Codec. Defaults: gzip.DefaultCompression, skip threshold 0.98.
+// New builds a Codec. Defaults: DefaultCompression (level 6), skip threshold
+// 0.98.
 func New(opts ...Option) *Codec {
-	c := &Codec{level: gzip.DefaultCompression, minRatio: 0.98}
+	c := &Codec{level: levelDefault, minRatio: 0.98}
 	for _, o := range opts {
 		o(c)
 	}
@@ -93,40 +93,11 @@ func (c *Codec) Compress(value []byte) ([]byte, error) {
 // slice. dst may be nil or a reused scratch buffer; it must not overlap
 // value. Only the returned slice is valid afterwards.
 func (c *Codec) CompressTo(dst, value []byte) ([]byte, error) {
+	if err := checkLevel(c.level); err != nil {
+		return dst, err
+	}
 	off := len(dst)
-	sw, _ := c.sinks.Get().(*sliceWriter)
-	if sw == nil {
-		sw = &sliceWriter{}
-	}
-	sw.b = append(dst, tagGzip)
-
-	zw, _ := c.writers.Get().(*gzip.Writer)
-	if zw == nil {
-		var err error
-		zw, err = gzip.NewWriterLevel(sw, c.level)
-		if err != nil {
-			sw.b = nil
-			c.sinks.Put(sw)
-			return nil, err
-		}
-	} else {
-		zw.Reset(sw)
-	}
-	if _, err := zw.Write(value); err != nil {
-		sw.b = nil
-		c.sinks.Put(sw)
-		return nil, fmt.Errorf("pack: compressing: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		sw.b = nil
-		c.sinks.Put(sw)
-		return nil, fmt.Errorf("pack: finishing stream: %w", err)
-	}
-	c.writers.Put(zw)
-	out := sw.b
-	sw.b = nil
-	c.sinks.Put(sw)
-
+	out := appendGzip(append(dst, tagGzip), value, c.level)
 	if c.minRatio > 0 && len(value) > 0 {
 		ratio := float64(len(out)-off-1) / float64(len(value))
 		if ratio > c.minRatio {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edsc/internal/raceflag"
+	"edsc/workload"
 )
 
 func incompressible(t *testing.T, n int) []byte {
@@ -60,7 +61,7 @@ func TestDecompressToErrorLeavesDst(t *testing.T) {
 }
 
 // TestAllocsGuard pins the compress/decompress round trip at zero
-// steady-state allocations: gzip writer, reader, bytes.Reader, and sink are
+// steady-state allocations: encoder state, gzip reader and bytes.Reader are
 // all pooled, and output goes into reused destination buffers.
 func TestAllocsGuard(t *testing.T) {
 	if raceflag.Enabled {
@@ -90,5 +91,63 @@ func TestAllocsGuard(t *testing.T) {
 	dec()
 	if allocs := testing.AllocsPerRun(200, dec); allocs > 0 {
 		t.Fatalf("DecompressTo allocated %.1f times per op, want 0", allocs)
+	}
+}
+
+// TestCompressToAllocsRealistic extends the zero-allocation guard to
+// values like the DSCL workloads': half-compressible, 256 B to 4 KiB.
+func TestCompressToAllocsRealistic(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	c := New()
+	for _, n := range []int{256, 1 << 10, 4 << 10} {
+		value := workload.SyntheticSource{Compressibility: 0.5, Seed: 1}.Data(n)
+		var buf []byte
+		comp := func() {
+			out, err := c.CompressTo(buf[:0], value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf = out
+		}
+		comp()
+		if allocs := testing.AllocsPerRun(200, comp); allocs > 0 {
+			t.Fatalf("CompressTo(%d B) allocated %.1f times per op, want 0", n, allocs)
+		}
+	}
+}
+
+// TestDecompressToAllocsPinned pins decoding's allocations on a realistic
+// value. compress/gzip's inflater builds Huffman link tables whenever a
+// block uses codes longer than 9 bits, which a 4 KiB half-random value
+// does; the count (measured: 2 allocs/op for frames this encoder writes)
+// depends on the code lengths the encoder picks, so a rise means the
+// encoder started emitting costlier blocks.
+func TestDecompressToAllocsPinned(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	const pinned = 2
+	c := New()
+	value := workload.SyntheticSource{Compressibility: 0.5, Seed: 1}.Data(4 << 10)
+	frame, err := c.Compress(value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	dec := func() {
+		out, err := c.DecompressTo(buf[:0], frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = out
+	}
+	dec()
+	if allocs := testing.AllocsPerRun(200, dec); allocs > pinned {
+		t.Fatalf("DecompressTo(4 KiB) allocated %.1f times per op, pinned at %d", allocs, pinned)
+	}
+	if !bytes.Equal(buf, value) {
+		t.Fatal("round trip differs")
 	}
 }

@@ -61,6 +61,12 @@ type Store interface {
 // entity tag. Stores that can cheaply answer "has this changed?" implement
 // Versioned, which the DSCL uses to revalidate expired cache entries without
 // re-transferring unchanged values (paper §III, Fig. 7).
+//
+// Contract: every successful write returns a version never before returned
+// for that key — rewriting identical bytes, or deleting the key and creating
+// it again, still yields a new version. A version is therefore safe to use
+// as a CompareAndPut precondition: once the key has been written again, a
+// stale version can never match (no ABA).
 type Version string
 
 // NoVersion is the zero Version, meaning "unknown / unconditional".

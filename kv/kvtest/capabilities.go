@@ -3,6 +3,7 @@ package kvtest
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -24,6 +25,24 @@ func RunVersioned(t *testing.T, f Factory) {
 		v2, err := vs.PutVersioned(ctx, "k", []byte("two"))
 		if err != nil || v2 == v1 {
 			t.Fatalf("version unchanged across update: %q -> %q, %v", v1, v2, err)
+		}
+	})
+	t.Run("SameBytesNewVersion", func(t *testing.T) {
+		s := open(t, f)
+		vs := requireVersioned(t, s)
+		ctx := context.Background()
+		v1, err := vs.PutVersioned(ctx, "k", []byte("same"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := vs.PutVersioned(ctx, "k", []byte("same"))
+		if err != nil || v2 == kv.NoVersion || v2 == v1 {
+			t.Fatalf("same-bytes overwrite = %q, %v; want a version distinct from %q", v2, err, v1)
+		}
+		if cs, ok := kv.As[kv.CompareAndPut](s); ok {
+			if _, err := cs.PutIfVersion(ctx, "k", []byte("stale"), v1); !errors.Is(err, kv.ErrVersionMismatch) {
+				t.Fatalf("CAS on the pre-overwrite version err = %v, want ErrVersionMismatch", err)
+			}
 		}
 	})
 	t.Run("GetVersionedMatchesGet", func(t *testing.T) {

@@ -67,6 +67,27 @@ func RunCompareAndPut(t *testing.T, f Factory) {
 			t.Fatalf("lost race clobbered the value: %q", got)
 		}
 	})
+	t.Run("SameBytesOverwrite", func(t *testing.T) {
+		// Rewriting identical bytes must still move the version on, so a
+		// CAS holding the old version loses (the ABA case).
+		s := open(t, f)
+		cs := requireCAS(t, s)
+		ctx := context.Background()
+		v1, err := cs.PutIfVersion(ctx, "k", []byte("same"), kv.NoVersion)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := cs.PutIfVersion(ctx, "k", []byte("same"), v1)
+		if err != nil || v2 == kv.NoVersion || v2 == v1 {
+			t.Fatalf("same-bytes CAS = %q, %v; want a version distinct from %q", v2, err, v1)
+		}
+		if _, err := cs.PutIfVersion(ctx, "k", []byte("stale"), v1); !errors.Is(err, kv.ErrVersionMismatch) {
+			t.Fatalf("CAS on the pre-overwrite version err = %v, want ErrVersionMismatch", err)
+		}
+		if got := mustGet(t, s, "k"); !bytes.Equal(got, []byte("same")) {
+			t.Fatalf("stale CAS clobbered the value: %q", got)
+		}
+	})
 	t.Run("MissingKeyWithVersion", func(t *testing.T) {
 		s := open(t, f)
 		cs := requireCAS(t, s)
