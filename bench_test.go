@@ -682,12 +682,13 @@ func TestStackOverheadAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkTransformRoundTrip is the PR's headline before/after: one 4 KiB
-// value through the compress+encrypt pipeline and back. "legacy" is the
-// slice-returning path every caller used before the append-style APIs
-// existed (fresh output per stage); "append" chains pooled scratch through
-// the pipeline and reuses destination buffers. The acceptance bar is a >= 50%
-// reduction in allocs/op and B/op, recorded in BENCH_PR5.json.
+// BenchmarkTransformRoundTrip is the append-style APIs' headline
+// before/after: one 4 KiB value through the compress+encrypt pipeline and
+// back. "legacy" is the slice-returning path every caller used before the
+// append-style APIs existed (fresh output per stage); "append" chains pooled
+// scratch through the pipeline and reuses destination buffers. The
+// acceptance bar is a >= 50% reduction in allocs/op and B/op, recorded in
+// the alloc report of BENCH_GATES.json.
 func BenchmarkTransformRoundTrip(b *testing.B) {
 	value := bytes.Repeat([]byte("abcdefgh"), 512) // 4 KiB, compressible
 	tr := dscl.Chain(

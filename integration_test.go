@@ -361,10 +361,16 @@ func benchCfg() workload.Config {
 
 // TestResilientCloudWorkloadUnderFaults is the resilience acceptance
 // scenario: a cloud store whose server injects wire-level faults — every
-// 10th request answered with HTTP 500, every 4th stalled 20ms — must
+// 10th request answered with HTTP 500, every 4th stalled 100ms — must
 // complete a full workload run behind the resilience wrapper with zero
 // client-visible errors, and the monitor must show the masking work
 // (retries and hedged reads) that made that possible.
+//
+// The run is small enough that a single request draws the 500, so only
+// stalled reads may hedge: a hedge fired by scheduler delay on a busy host
+// takes a request number, and if it draws the 500 while its primary wins,
+// nothing is retried. The hedge delay therefore sits well above loopback
+// jitter and well below the stall.
 func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 	ctx := context.Background()
 
@@ -373,7 +379,7 @@ func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cloud.Close() })
-	cloud.SetFaults(udsm.CloudFaults{Every500: 10, EverySlow: 4, SlowBy: 20 * time.Millisecond, Seed: 1})
+	cloud.SetFaults(udsm.CloudFaults{Every500: 10, EverySlow: 4, SlowBy: 100 * time.Millisecond, Seed: 1})
 
 	rec := monitor.New("cloud", 64)
 	store := resilient.New(udsm.OpenCloudStore("cloud", cloud.URL(), "prod"), resilient.Options{
@@ -381,7 +387,7 @@ func TestResilientCloudWorkloadUnderFaults(t *testing.T) {
 		MaxRetries:  8,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  20 * time.Millisecond,
-		HedgeDelay:  2 * time.Millisecond,
+		HedgeDelay:  25 * time.Millisecond,
 		Recorder:    rec,
 		Seed:        1,
 	})

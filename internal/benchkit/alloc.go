@@ -1,16 +1,11 @@
-// Allocation-profile experiment: machine-readable before/after numbers for
-// the zero-allocation hot-path work. Unlike the figure experiments (which
-// measure end-to-end latency against simulated stores), this one measures
-// ns/op, B/op and allocs/op of the in-process hot paths themselves, via
-// testing.Benchmark, and serializes the result as JSON so CI can diff a run
-// against a committed baseline (BENCH_PR5.json) and fail on regression.
+// Allocation-profile experiment: ns/op, B/op and allocs/op of the
+// in-process hot paths (transform pipeline, cache hit, RESP echo, delta),
+// measured with testing.Benchmark. The gate is allocs/op against the
+// committed baseline; the zero-allocation guard tests pin the same paths.
 package benchkit
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
 	"testing"
 
 	"edsc/dscl"
@@ -21,42 +16,36 @@ import (
 	"edsc/internal/secure"
 )
 
-// AllocResult is one measured hot path.
-type AllocResult struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"b_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Guarded marks paths whose allocs/op CI compares against the committed
-	// baseline; unguarded entries are informational (latency varies too much
-	// across machines to gate on, allocation counts do not).
-	Guarded bool `json:"guarded"`
-}
-
-// AllocReport is the serialized experiment.
-type AllocReport struct {
-	// Payload is the object size the transform paths run at.
-	Payload int           `json:"payload_bytes"`
-	Results []AllocResult `json:"results"`
-}
-
-// RunAlloc measures every hot path. payload <= 0 defaults to 4 KiB, the
-// mid-range object size of the paper's evaluation.
-func RunAlloc(payload int) (*AllocReport, error) {
-	if payload <= 0 {
-		payload = 4 << 10
-	}
-	value := bytes.Repeat([]byte("abcdefgh"), (payload+7)/8)[:payload]
-	rep := &AllocReport{Payload: payload}
+// runAlloc measures every hot path with testing.Benchmark at a 4 KiB
+// payload, the mid-range object size of the paper's evaluation. Only
+// allocs/op is gated: latency varies too much across machines to gate on,
+// allocation counts do not.
+func runAlloc(bool) (*Report, error) {
+	const payload = 4 << 10
+	value := bytes.Repeat([]byte("abcdefgh"), payload/8)
+	rep := &Report{Experiment: "alloc", Params: map[string]int{"payload_bytes": payload}}
 
 	add := func(name string, guarded bool, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
-		rep.Results = append(rep.Results, AllocResult{
+		rep.Cells = append(rep.Cells, Cell{
 			Name:        name,
+			Guarded:     guarded,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
-			Guarded:     guarded,
+		})
+	}
+	// appendPath benches an append-style leg that reuses its destination.
+	appendPath := func(name string, fn func(dst []byte) ([]byte, error)) {
+		add(name, true, func(b *testing.B) {
+			var out []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if out, err = fn(out[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 
@@ -128,127 +117,24 @@ func RunAlloc(payload int) (*AllocReport, error) {
 	})
 
 	// Individual append-style transform legs.
-	add("seal_to", true, func(b *testing.B) {
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = sc.SealTo(out[:0], value); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	env0, err := sc.Seal(value)
 	if err != nil {
 		return nil, err
 	}
-	add("open_to", true, func(b *testing.B) {
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = sc.OpenTo(out[:0], env0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	add("compress_to", true, func(b *testing.B) {
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = pc.CompressTo(out[:0], value); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	comp0, err := pc.Compress(value)
 	if err != nil {
 		return nil, err
 	}
-	add("decompress_to", true, func(b *testing.B) {
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = pc.DecompressTo(out[:0], comp0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	appendPath("seal_to", func(dst []byte) ([]byte, error) { return sc.SealTo(dst, value) })
+	appendPath("open_to", func(dst []byte) ([]byte, error) { return sc.OpenTo(dst, env0) })
+	appendPath("compress_to", func(dst []byte) ([]byte, error) { return pc.CompressTo(dst, value) })
+	appendPath("decompress_to", func(dst []byte) ([]byte, error) { return pc.DecompressTo(dst, comp0) })
 
 	// Delta encode/apply with the pooled window index.
 	enc := delta.NewEncoder(delta.DefaultWindowSize)
 	newV := append(append([]byte{}, value...), []byte("tail-change")...)
-	add("delta_encode_to", true, func(b *testing.B) {
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out = enc.EncodeTo(out[:0], value, newV)
-		}
-	})
 	d0 := enc.Encode(value, newV)
-	add("delta_apply_to", true, func(b *testing.B) {
-		var out []byte
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var err error
-			if out, err = delta.ApplyTo(out[:0], value, d0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
+	appendPath("delta_encode_to", func(dst []byte) ([]byte, error) { return enc.EncodeTo(dst, value, newV), nil })
+	appendPath("delta_apply_to", func(dst []byte) ([]byte, error) { return delta.ApplyTo(dst, value, d0) })
 	return rep, nil
-}
-
-// WriteTo serializes the report as indented JSON (it implements io.WriterTo
-// so cmd/udsm-bench's save path can reuse it).
-func (r *AllocReport) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// LoadAllocReport reads a report written by WriteTo.
-func LoadAllocReport(rd io.Reader) (*AllocReport, error) {
-	var r AllocReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// CompareAlloc checks current against baseline: every guarded path's
-// allocs/op may grow by at most tolerance (fractional, e.g. 0.20) over the
-// baseline. A zero-alloc baseline therefore tolerates no allocation at all —
-// exactly the guarantee the guard tests pin. It returns a human-readable
-// line per regression (empty slice = pass). Paths present in only one report
-// are ignored: the comparison gates known paths, it does not pin the
-// experiment list.
-func CompareAlloc(baseline, current *AllocReport, tolerance float64) []string {
-	base := make(map[string]AllocResult, len(baseline.Results))
-	for _, r := range baseline.Results {
-		base[r.Name] = r
-	}
-	var regressions []string
-	for _, cur := range current.Results {
-		if !cur.Guarded {
-			continue
-		}
-		b, ok := base[cur.Name]
-		if !ok {
-			continue
-		}
-		limit := float64(b.AllocsPerOp) * (1 + tolerance)
-		if float64(cur.AllocsPerOp) > limit && cur.AllocsPerOp > b.AllocsPerOp {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: allocs/op %d -> %d (limit %.1f)", cur.Name, b.AllocsPerOp, cur.AllocsPerOp, limit))
-		}
-	}
-	return regressions
 }

@@ -1,158 +1,73 @@
-// Commit-pipeline throughput experiment: closed-loop concurrent writers
-// against the file-backed minisql store, serial commits (one WAL fsync per
-// transaction, the pre-pipeline engine) vs grouped commits (the leader
-// batches every sealed transaction behind one fsync), swept across writer
-// counts. The grouped/serial ratio at high concurrency is the group-commit
-// win; serialized as JSON (BENCH_PR10.json) so CI can gate it the same way
-// the mux, HTTP, and paged-SQL gates work.
+// Commit-pipeline experiment: closed-loop concurrent writers against the
+// file-backed minisql store, serial commits (one WAL fsync per transaction,
+// the pre-pipeline engine) vs grouped commits (the leader batches every
+// sealed transaction behind one fsync), swept across writer counts. The
+// grouped/serial ratio at high concurrency is the group-commit win — fsync
+// cost is a property of the disk, so the ratio holds across machines even
+// when absolute ops/sec vary.
 package benchkit
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"time"
+	"strings"
 
 	"edsc/udsm"
 	"edsc/workload"
 )
 
-// CommitThroughputConfig sizes the commit experiment.
-type CommitThroughputConfig struct {
-	// WriterCounts are the concurrent-writer sweep points (default 1, 4,
-	// 16, 64). Every count runs once per commit mode.
-	WriterCounts []int
-	// Ops is the operation budget per cell (default 4000).
-	Ops int
-	// Keys is the working-set size in rows (default 512).
-	Keys int
-	// ValueSize is the object size in bytes (default 128 — small values
-	// keep the workload commit-bound, which is the regime group commit
-	// exists for).
-	ValueSize int
-	// ZipfWriters, when > 0, adds one grouped/serial pair at that writer
-	// count under the Zipfian hot-key distribution beside the uniform sweep
-	// (default 16; <0 disables).
-	ZipfWriters int
-	// Runs is how many times each cell is measured; the fastest run is kept
-	// (default 3). Commit benchmarks sit on fsync, and fsync stalls on shared
-	// storage only ever slow a run down — one-sided noise — so best-of-N is
-	// the min-time estimator of what the machine can actually do.
-	Runs int
-}
-
-func (c CommitThroughputConfig) withDefaults() CommitThroughputConfig {
-	if len(c.WriterCounts) == 0 {
-		c.WriterCounts = []int{1, 4, 16, 64}
+// runCommit drives the pure-write closed loop (every write is one
+// autocommit transaction, i.e. one commit) through a file-backed SQL store,
+// once per (mode, writers) cell at 1/4/16/64 writers plus one Zipfian
+// hot-key pair at 16: group_commit=off replays the pre-pipeline engine,
+// group_commit=on exercises the pipeline. Values are 128 B — small values
+// keep the workload commit-bound, the regime group commit exists for.
+//
+// Each cell is measured three times and the fastest run is kept: commit
+// benchmarks sit on fsync, and fsync stalls on shared storage only ever
+// slow a run down — one-sided noise — so best-of-N is the min-time
+// estimator of what the machine can actually do.
+func runCommit(smoke bool) (*Report, error) {
+	writerCounts, zipfWriters, ops, keys, runs := []int{1, 4, 16, 64}, 16, 4000, 512, 3
+	if smoke {
+		writerCounts, zipfWriters, ops, keys, runs = []int{1, 4}, 4, 200, 32, 1
 	}
-	if c.Ops <= 0 {
-		c.Ops = 4000
-	}
-	if c.Keys <= 0 {
-		c.Keys = 512
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 128
-	}
-	if c.ZipfWriters == 0 {
-		c.ZipfWriters = 16
-	}
-	if c.Runs <= 0 {
-		c.Runs = 3
-	}
-	return c
-}
+	rep := &Report{Experiment: "commit", Params: map[string]int{"keys": keys, "value_bytes": 128}}
 
-// CommitThroughputResult is one (mode, writers, distribution) cell.
-type CommitThroughputResult struct {
-	Name         string  `json:"name"` // e.g. "grouped-16w-uniform"
-	Mode         string  `json:"mode"` // "serial" | "grouped"
-	Writers      int     `json:"writers"`
-	Distribution string  `json:"distribution"` // "uniform" | "zipf"
-	Ops          int64   `json:"ops"`
-	OpsPerSec    float64 `json:"ops_per_sec"`
-	WriteP99Ms   float64 `json:"write_p99_ms"`
-	// Fsyncs and Batches are the engine's own accounting for the run:
-	// batches committed vs disk flushes they cost. Serial mode pays one
-	// fsync per commit; grouped mode amortizes.
-	Fsyncs  int64 `json:"wal_fsyncs"`
-	Batches int64 `json:"committed_batches"`
-	// AvgGroup is Batches/group-commits in grouped mode (0 for serial).
-	AvgGroup float64 `json:"avg_group"`
-	Errors   int64   `json:"errors"`
-	// Guarded marks cells CI gates against the committed baseline
-	// (relative ops/sec floor + p99 ceiling; the machine-independent
-	// grouped/serial speedup ratio is the strict acceptance gate).
-	Guarded bool `json:"guarded"`
-}
-
-// CommitSpeedup is the grouped-over-serial throughput ratio at one uniform
-// sweep point.
-type CommitSpeedup struct {
-	Writers int     `json:"writers"`
-	Speedup float64 `json:"speedup"`
-}
-
-// CommitThroughputReport is the serialized experiment.
-type CommitThroughputReport struct {
-	Keys      int                      `json:"keys"`
-	ValueSize int                      `json:"value_bytes"`
-	Results   []CommitThroughputResult `json:"results"`
-	// Speedups is grouped ops/sec over serial ops/sec per uniform writer
-	// count. At 1 writer there is nothing to group, so the ratio should sit
-	// near 1x; it must grow with concurrency.
-	Speedups []CommitSpeedup `json:"speedups"`
-	// SpeedupAt16 is the headline, machine-independent acceptance number:
-	// grouped/serial at 16 concurrent writers, CI-gated to stay >= 3x.
-	SpeedupAt16 float64 `json:"speedup_at_16"`
-}
-
-// RunCommitThroughput drives the write-heavy closed loop (80% writes —
-// every write is one autocommit transaction, i.e. one commit) through a
-// file-backed SQL store, once per (mode, writers) cell: group_commit=off
-// replays the pre-pipeline engine, group_commit=on exercises the pipeline.
-// The Zipfian pair stresses the same commit path under hot-key contention.
-func RunCommitThroughput(cfg CommitThroughputConfig) (*CommitThroughputReport, error) {
-	cfg = cfg.withDefaults()
-	rep := &CommitThroughputReport{Keys: cfg.Keys, ValueSize: cfg.ValueSize}
-
-	type cell struct {
+	type sweep struct {
 		writers int
 		dist    workload.Distribution
 	}
-	cells := make([]cell, 0, len(cfg.WriterCounts)+1)
-	for _, w := range cfg.WriterCounts {
-		cells = append(cells, cell{w, workload.DistUniform})
+	points := []sweep{}
+	for _, w := range writerCounts {
+		points = append(points, sweep{w, workload.DistUniform})
 	}
-	if cfg.ZipfWriters > 0 {
-		cells = append(cells, cell{cfg.ZipfWriters, workload.DistZipf})
-	}
-
-	byName := map[string]*CommitThroughputResult{}
-	for _, c := range cells {
+	points = append(points, sweep{zipfWriters, workload.DistZipf})
+	for _, p := range points {
 		for _, mode := range []string{"serial", "grouped"} {
-			res, err := runCommitCell(mode, c.writers, c.dist, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("benchkit: commit cell %s-%dw-%s: %w", mode, c.writers, c.dist, err)
+			var best *Cell
+			for i := 0; i < runs; i++ {
+				c, err := runCommitCell(rep, mode, p.writers, p.dist, ops)
+				if err != nil {
+					return nil, fmt.Errorf("benchkit: commit cell %s-%dw-%s: %w", mode, p.writers, p.dist, err)
+				}
+				if best == nil || c.OpsPerSec > best.OpsPerSec {
+					best = c
+				}
 			}
-			res.Guarded = true
-			rep.Results = append(rep.Results, *res)
-			byName[res.Name] = res
+			rep.Cells = append(rep.Cells, *best)
 		}
 	}
-	for _, w := range cfg.WriterCounts {
-		serial := byName[commitCellName("serial", w, workload.DistUniform)]
-		grouped := byName[commitCellName("grouped", w, workload.DistUniform)]
-		if serial == nil || grouped == nil || serial.OpsPerSec <= 0 {
-			continue
-		}
-		sp := CommitSpeedup{Writers: w, Speedup: grouped.OpsPerSec / serial.OpsPerSec}
-		rep.Speedups = append(rep.Speedups, sp)
-		if w == 16 {
-			rep.SpeedupAt16 = sp.Speedup
+	// Grouped over serial per uniform writer count. At 1 writer there is
+	// nothing to group, so the ratio should sit near 1x; it must grow with
+	// concurrency.
+	rep.Ratios = map[string]float64{}
+	for _, w := range writerCounts {
+		if sp := opsRatio(rep, commitCellName("grouped", w, workload.DistUniform), commitCellName("serial", w, workload.DistUniform)); sp > 0 {
+			rep.Ratios[fmt.Sprintf("speedup_at_%d", w)] = sp
 		}
 	}
 	return rep, nil
@@ -162,23 +77,7 @@ func commitCellName(mode string, writers int, dist workload.Distribution) string
 	return fmt.Sprintf("%s-%dw-%s", mode, writers, dist)
 }
 
-// runCommitCell measures one cell cfg.Runs times and keeps the fastest run
-// (see CommitThroughputConfig.Runs for why best-of-N).
-func runCommitCell(mode string, writers int, dist workload.Distribution, cfg CommitThroughputConfig) (*CommitThroughputResult, error) {
-	var best *CommitThroughputResult
-	for i := 0; i < cfg.Runs; i++ {
-		r, err := runCommitCellOnce(mode, writers, dist, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || r.OpsPerSec > best.OpsPerSec {
-			best = r
-		}
-	}
-	return best, nil
-}
-
-func runCommitCellOnce(mode string, writers int, dist workload.Distribution, cfg CommitThroughputConfig) (*CommitThroughputResult, error) {
+func runCommitCell(rep *Report, mode string, writers int, dist workload.Distribution, ops int) (*Cell, error) {
 	dir, err := os.MkdirTemp("", "edsc-commitbench-*")
 	if err != nil {
 		return nil, err
@@ -203,10 +102,10 @@ func runCommitCellOnce(mode string, writers int, dist workload.Distribution, cfg
 	}
 	mr, err := workload.RunMixed(context.Background(), st, workload.MixedConfig{
 		Clients:      writers,
-		Ops:          cfg.Ops,
+		Ops:          ops,
 		ReadFraction: -1, // pure writes: every operation is one commit
-		Keys:         cfg.Keys,
-		Size:         cfg.ValueSize,
+		Keys:         rep.Params["keys"],
+		Size:         rep.Params["value_bytes"],
 		Seed:         42,
 		KeyPrefix:    "c/",
 		Distribution: dist,
@@ -219,81 +118,40 @@ func runCommitCellOnce(mode string, writers int, dist workload.Distribution, cfg
 		return nil, err
 	}
 
-	res := &CommitThroughputResult{
-		Name:         commitCellName(mode, writers, dist),
-		Mode:         mode,
-		Writers:      writers,
-		Distribution: string(dist),
-		Ops:          mr.Ops,
-		OpsPerSec:    mr.Throughput,
-		WriteP99Ms:   float64(mr.WriteLatency.P99) / float64(time.Millisecond),
-		Fsyncs:       int64(after.WALFsyncs - before.WALFsyncs),
-		Batches:      int64(after.GroupedBatches - before.GroupedBatches),
-		Errors:       mr.Errors,
-	}
-	if mode == "serial" {
-		// The serial engine has no grouping counters; a committed batch is
-		// simply a commit, and every commit paid an fsync.
-		res.Batches = res.Fsyncs
-	} else if groups := after.GroupCommits - before.GroupCommits; groups > 0 {
-		res.AvgGroup = float64(res.Batches) / float64(groups)
-	}
-	return res, nil
-}
-
-// WriteTo serializes the report as indented JSON.
-func (r *CommitThroughputReport) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// LoadCommitThroughputReport reads a report written by WriteTo.
-func LoadCommitThroughputReport(rd io.Reader) (*CommitThroughputReport, error) {
-	var r CommitThroughputReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// CompareCommitThroughput checks current against baseline. Per-cell gates
-// are the shared relative ones (ops/sec floor, p99 ceiling, zero errors);
-// the strict, machine-independent gates are structural:
-//   - grouped/serial speedup at 16 uniform writers >= minSpeedup (the
-//     acceptance criterion's 3x) — fsync cost is a property of the disk,
-//     so the ratio holds across machines even when absolute ops/sec vary;
-//   - the 16-writer grouped cell must actually have grouped: fewer fsyncs
-//     than committed batches, or the pipeline silently degraded to serial.
-//
-// Returns a human-readable line per regression (empty = pass).
-func CompareCommitThroughput(baseline, current *CommitThroughputReport, minOpsFrac, p99Factor, minSpeedup float64) []string {
-	var regressions []string
-	toModes := func(rs []CommitThroughputResult) []ThroughputResult {
-		out := make([]ThroughputResult, len(rs))
-		for i, r := range rs {
-			out[i] = ThroughputResult{
-				Name: r.Name, OpsPerSec: r.OpsPerSec,
-				WriteP99Ms: r.WriteP99Ms,
-				Errors:     r.Errors, Guarded: r.Guarded,
-			}
-		}
-		return out
-	}
-	regressions = append(regressions, compareModes(toModes(baseline.Results), toModes(current.Results), minOpsFrac, p99Factor)...)
-	if minSpeedup > 0 && current.SpeedupAt16 < minSpeedup {
-		regressions = append(regressions, fmt.Sprintf(
-			"group-commit speedup at 16 writers %.2fx below the %.1fx acceptance floor", current.SpeedupAt16, minSpeedup))
-	}
-	for _, r := range current.Results {
-		if r.Mode == "grouped" && r.Writers >= 16 && r.Batches > 0 && r.Fsyncs >= r.Batches {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %d fsyncs for %d batches; the pipeline did not group", r.Name, r.Fsyncs, r.Batches))
+	cell := mixedCell(commitCellName(mode, writers, dist), true, mr)
+	// Batches committed vs the disk flushes they cost. Serial mode has no
+	// grouping counters; a committed batch is simply a commit, and every
+	// commit paid an fsync.
+	fsyncs := float64(after.WALFsyncs - before.WALFsyncs)
+	batches, avgGroup := fsyncs, 0.0
+	if mode == "grouped" {
+		batches = float64(after.GroupedBatches - before.GroupedBatches)
+		if groups := after.GroupCommits - before.GroupCommits; groups > 0 {
+			avgGroup = batches / float64(groups)
 		}
 	}
-	return regressions
+	cell.Counters = map[string]float64{
+		"writers": float64(writers), "wal_fsyncs": fsyncs, "committed_batches": batches, "avg_group": avgGroup,
+	}
+	return &cell, nil
+}
+
+// checkGrouped: every grouped cell at 16+ writers must actually have
+// grouped — fewer fsyncs than committed batches — or the pipeline silently
+// degraded to serial.
+func checkGrouped(r *Report) []string {
+	var regs []string
+	for _, c := range r.Cells {
+		fsyncs, batches := c.Counters["wal_fsyncs"], c.Counters["committed_batches"]
+		if strings.HasPrefix(c.Name, "grouped-") && c.Counters["writers"] >= 16 && batches > 0 && fsyncs >= batches {
+			regs = append(regs, fmt.Sprintf("%s: %.0f fsyncs for %.0f batches; the pipeline did not group", c.Name, fsyncs, batches))
+		}
+	}
+	return regs
+}
+
+func writeCommitDat(w io.Writer, r *Report) error {
+	return writeRows(w, fmt.Sprintf("# extension: group commit vs serial commit, write-heavy closed loop (80%% writes, %d rows x %d B), file-backed minisql",
+		r.Params["keys"], r.Params["value_bytes"]),
+		r, "cell", "writers", "ops_per_sec", "write_p99_ms", "wal_fsyncs", "committed_batches")
 }

@@ -1,150 +1,58 @@
-// SQL storage-engine throughput experiment: closed-loop ops/sec and tail
-// latency of the paged minisql store in two cache regimes — "cached" (the
-// whole dataset resident in the LRU page cache) and "paged" (the dataset
-// roughly an order of magnitude larger than the cache, so reads constantly
-// evict and fault pages back in from the data file). The gap between the
-// two is the cost of running data ≫ RAM, which the storage engine keeps
-// bounded; serialized as JSON (BENCH_PR9.json) so CI can gate the
-// cached/paged penalty ratio the same way the mux and HTTP gates work.
+// SQL storage-engine experiment: closed-loop ops/sec and tail latency of
+// the paged minisql store in two cache regimes — "cached" (the whole
+// dataset resident in the LRU page cache) and "paged" (the dataset roughly
+// an order of magnitude larger than the cache, so reads constantly evict
+// and fault pages back in from the data file). The gap between the two is
+// the cost of running data ≫ RAM, which the storage engine keeps bounded:
+// the gates are the data/cache ratio (the regime really is out of RAM) and
+// the cached/paged penalty.
 package benchkit
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"time"
-
-	"context"
 
 	"edsc/udsm"
 	"edsc/workload"
 )
 
-// SQLThroughputConfig sizes the closed-loop run.
-type SQLThroughputConfig struct {
-	// Goroutines is the number of concurrent closed-loop callers
-	// (default 8; the engine serializes writers but reads run concurrently).
-	Goroutines int
-	// Ops is the operation budget per cache regime (default 20k).
-	Ops int
-	// Keys is the dataset size in rows (default 1500).
-	Keys int
-	// ValueSize is the object size in bytes (default 4096 — one page per
-	// value, spilling to overflow pages past the inline threshold).
-	ValueSize int
-	// PagedCachePages caps the LRU cache in the paged regime (default 64
-	// pages = 256 KiB, roughly 10x smaller than the default dataset).
-	PagedCachePages int
-	// CachedCachePages caps the cache in the cached regime (default 8192
-	// pages = 32 MiB, comfortably above the dataset).
-	CachedCachePages int
-}
-
-func (c SQLThroughputConfig) withDefaults() SQLThroughputConfig {
-	if c.Goroutines <= 0 {
-		c.Goroutines = 8
+// runSQL drives the closed-loop mixed workload (90% reads, uniform over the
+// whole keyspace so the paged regime cannot hide its working set in the
+// cache) through a file-backed SQL store, once per cache regime. Both
+// regimes use the same dataset shape and durability settings; only the
+// page-cache capacity differs: 8192 pages (32 MiB, comfortably above the
+// dataset) vs 64 pages (256 KiB). Values are 4 KiB — one page each,
+// spilling to overflow pages past the inline threshold.
+func runSQL(smoke bool) (*Report, error) {
+	goroutines, ops, keys := 8, 20_000, 1500
+	if smoke {
+		ops, keys = 200, 32
 	}
-	if c.Ops <= 0 {
-		c.Ops = 20_000
-	}
-	if c.Keys <= 0 {
-		c.Keys = 1500
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 4096
-	}
-	if c.PagedCachePages <= 0 {
-		c.PagedCachePages = 64
-	}
-	if c.CachedCachePages <= 0 {
-		c.CachedCachePages = 8192
-	}
-	return c
-}
-
-// SQLThroughputResult is one cache regime's measurement.
-type SQLThroughputResult struct {
-	Name       string  `json:"name"`
-	CachePages int     `json:"cache_pages"`
-	DataPages  int     `json:"data_pages"` // file pages after the run
-	Evictions  int64   `json:"evictions"`
-	Ops        int64   `json:"ops"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	ReadP99Ms  float64 `json:"read_p99_ms"`
-	WriteP99Ms float64 `json:"write_p99_ms"`
-	Errors     int64   `json:"errors"`
-	// Guarded marks regimes CI gates against the committed baseline
-	// (relative ops/sec floor + p99 ceiling; the machine-independent
-	// cached/paged penalty ratio is the strict acceptance gate).
-	Guarded bool `json:"guarded"`
-}
-
-// SQLThroughputReport is the serialized experiment.
-type SQLThroughputReport struct {
-	Goroutines int                   `json:"goroutines"`
-	Keys       int                   `json:"keys"`
-	ValueSize  int                   `json:"value_bytes"`
-	PageSize   int                   `json:"page_size"`
-	Results    []SQLThroughputResult `json:"results"`
-	// DataToCacheRatio is dataset pages over the paged regime's cache
-	// capacity — the acceptance criterion wants the dataset ~10x the cache.
-	DataToCacheRatio float64 `json:"data_to_cache_ratio"`
-	// PagedPenalty is cached ops/sec over paged ops/sec — the cost of the
-	// dataset outgrowing RAM, CI-gated to stay within the acceptance bound.
-	PagedPenalty float64 `json:"paged_penalty"`
-}
-
-// RunSQLThroughput drives the closed-loop mixed workload (90% reads,
-// uniform over the whole keyspace so the paged regime cannot hide its
-// working set in the cache) through a file-backed SQL store, once per
-// cache regime. Both regimes use the same dataset shape and durability
-// settings; only the page-cache capacity differs.
-func RunSQLThroughput(cfg SQLThroughputConfig) (*SQLThroughputReport, error) {
-	cfg = cfg.withDefaults()
-	rep := &SQLThroughputReport{
-		Goroutines: cfg.Goroutines,
-		Keys:       cfg.Keys,
-		ValueSize:  cfg.ValueSize,
-	}
-
-	regimes := []struct {
+	rep := &Report{Experiment: "sql", Params: map[string]int{
+		"goroutines": goroutines, "keys": keys, "value_bytes": 4096,
+	}}
+	for _, m := range []struct {
 		name       string
 		cachePages int
-	}{
-		{"cached", cfg.CachedCachePages},
-		{"paged", cfg.PagedCachePages},
-	}
-	for _, m := range regimes {
-		res, pageSize, err := runSQLRegime(m.name, m.cachePages, cfg)
+	}{{"cached", 8192}, {"paged", 64}} {
+		cell, pageSize, err := runSQLRegime(rep, m.name, m.cachePages, ops)
 		if err != nil {
 			return nil, fmt.Errorf("benchkit: regime %s: %w", m.name, err)
 		}
-		res.Guarded = true
-		rep.PageSize = pageSize
-		rep.Results = append(rep.Results, *res)
+		rep.Params["page_size"] = pageSize
+		rep.Cells = append(rep.Cells, *cell)
 	}
-
-	var cached, paged float64
-	for _, r := range rep.Results {
-		switch r.Name {
-		case "cached":
-			cached = r.OpsPerSec
-		case "paged":
-			paged = r.OpsPerSec
-			if r.CachePages > 0 {
-				rep.DataToCacheRatio = float64(r.DataPages) / float64(r.CachePages)
-			}
-		}
-	}
-	if paged > 0 {
-		rep.PagedPenalty = cached / paged
+	rep.Ratios = map[string]float64{"paged_penalty": opsRatio(rep, "cached", "paged")}
+	if p := rep.Cell("paged"); p.Counters["cache_pages"] > 0 {
+		rep.Ratios["data_to_cache_ratio"] = p.Counters["data_pages"] / p.Counters["cache_pages"]
 	}
 	return rep, nil
 }
 
-func runSQLRegime(name string, cachePages int, cfg SQLThroughputConfig) (*SQLThroughputResult, int, error) {
+func runSQLRegime(rep *Report, name string, cachePages, ops int) (*Cell, int, error) {
 	dir, err := os.MkdirTemp("", "edsc-sqlbench-*")
 	if err != nil {
 		return nil, 0, err
@@ -161,11 +69,11 @@ func runSQLRegime(name string, cachePages int, cfg SQLThroughputConfig) (*SQLThr
 	defer st.Close()
 
 	mr, err := workload.RunMixed(context.Background(), st, workload.MixedConfig{
-		Clients:      cfg.Goroutines,
-		Ops:          cfg.Ops,
+		Clients:      rep.Params["goroutines"],
+		Ops:          ops,
 		ReadFraction: 0.9,
-		Keys:         cfg.Keys,
-		Size:         cfg.ValueSize,
+		Keys:         rep.Params["keys"],
+		Size:         rep.Params["value_bytes"],
 		Seed:         42,
 		KeyPrefix:    "s/",
 	})
@@ -176,76 +84,26 @@ func runSQLRegime(name string, cachePages int, cfg SQLThroughputConfig) (*SQLThr
 	if err != nil {
 		return nil, 0, err
 	}
-	return &SQLThroughputResult{
-		Name:       name,
-		CachePages: stats.CacheCap,
-		DataPages:  int(stats.Pages),
-		Evictions:  int64(stats.Evictions),
-		Ops:        mr.Ops,
-		OpsPerSec:  mr.Throughput,
-		ReadP99Ms:  float64(mr.ReadLatency.P99) / float64(time.Millisecond),
-		WriteP99Ms: float64(mr.WriteLatency.P99) / float64(time.Millisecond),
-		Errors:     mr.Errors,
-	}, stats.PageSize, nil
+	cell := mixedCell(name, true, mr)
+	cell.Counters = map[string]float64{
+		"cache_pages": float64(stats.CacheCap),
+		"data_pages":  float64(stats.Pages), // file pages after the run
+		"evictions":   float64(stats.Evictions),
+	}
+	return &cell, stats.PageSize, nil
 }
 
-// WriteTo serializes the report as indented JSON.
-func (r *SQLThroughputReport) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return 0, err
+// checkPagedEvictions: the paged regime must actually have evicted pages,
+// or the experiment measured nothing.
+func checkPagedEvictions(r *Report) []string {
+	if p := r.Cell("paged"); p != nil && p.Counters["evictions"] == 0 {
+		return []string{"paged regime recorded zero evictions; the cache never overflowed"}
 	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
+	return nil
 }
 
-// LoadSQLThroughputReport reads a report written by WriteTo.
-func LoadSQLThroughputReport(rd io.Reader) (*SQLThroughputReport, error) {
-	var r SQLThroughputReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// CompareSQLThroughput checks current against baseline. The per-regime
-// gates are the shared relative ones (ops/sec floor, p99 ceiling, zero
-// errors); the strict, machine-independent gates are structural:
-//   - the paged regime's dataset must actually dwarf its cache
-//     (DataToCacheRatio >= minRatio, the "10x RAM-sized data" criterion)
-//     and must have evicted pages, or the experiment measured nothing;
-//   - the cached/paged penalty must stay <= maxPenalty (the acceptance
-//     bound: paged reads within 3x of cached reads).
-//
-// Returns a human-readable line per regression (empty = pass).
-func CompareSQLThroughput(baseline, current *SQLThroughputReport, minOpsFrac, p99Factor, minRatio, maxPenalty float64) []string {
-	var regressions []string
-	// Reuse the mode gates via the shared ThroughputResult comparison.
-	toModes := func(rs []SQLThroughputResult) []ThroughputResult {
-		out := make([]ThroughputResult, len(rs))
-		for i, r := range rs {
-			out[i] = ThroughputResult{
-				Name: r.Name, OpsPerSec: r.OpsPerSec,
-				ReadP99Ms: r.ReadP99Ms, WriteP99Ms: r.WriteP99Ms,
-				Errors: r.Errors, Guarded: r.Guarded,
-			}
-		}
-		return out
-	}
-	regressions = append(regressions, compareModes(toModes(baseline.Results), toModes(current.Results), minOpsFrac, p99Factor)...)
-	if minRatio > 0 && current.DataToCacheRatio < minRatio {
-		regressions = append(regressions, fmt.Sprintf(
-			"paged dataset only %.1fx the cache (want >= %.0fx); the regime is not out of RAM", current.DataToCacheRatio, minRatio))
-	}
-	for _, r := range current.Results {
-		if r.Name == "paged" && r.Evictions == 0 {
-			regressions = append(regressions, "paged regime recorded zero evictions; the cache never overflowed")
-		}
-	}
-	if maxPenalty > 0 && current.PagedPenalty > maxPenalty {
-		regressions = append(regressions, fmt.Sprintf(
-			"paged penalty %.2fx above the %.1fx acceptance ceiling", current.PagedPenalty, maxPenalty))
-	}
-	return regressions
+func writeSQLDat(w io.Writer, r *Report) error {
+	return writeRows(w, fmt.Sprintf("# extension: paged SQL storage engine, mixed workload (90%% reads, %d goroutines, %d rows x %d B), file-backed minisql",
+		r.Params["goroutines"], r.Params["keys"], r.Params["value_bytes"]),
+		r, "regime", "cache_pages", "data_pages", "ops_per_sec", "read_p99_ms", "write_p99_ms")
 }

@@ -1,254 +1,128 @@
-// Throughput experiment: closed-loop ops/sec and tail latency of the
-// miniredis network hot path at high goroutine counts, in three client
-// modes — per-request connections (the naive baseline), the bounded
-// connection pool, and the multiplexed shared-socket path. Serialized as
-// JSON (BENCH_PR7.json) so CI can diff a run against the committed baseline
-// and fail on throughput or p99 regressions, the same way the allocation
-// gate works.
+// Network hot-path experiments: closed-loop ops/sec and tail latency of the
+// mixed workload (90% reads) against an in-process server on loopback, once
+// per client mode. "mux" drives miniredis through per-request connections
+// (the naive baseline), the bounded pool, and the multiplexed shared-socket
+// path; "http" drives cloudsim through a fresh connection per request, the
+// tuned keep-alive pool, and the tuned pool with GET coalescing. The
+// machine-independent gates are the mux/perconn and coalesced/perop ratios.
 package benchkit
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
+	"edsc/internal/cloudsim"
 	"edsc/internal/miniredis"
+	"edsc/kv"
 	"edsc/workload"
 )
 
-// ThroughputConfig sizes the closed-loop run.
-type ThroughputConfig struct {
-	// Goroutines is the number of concurrent closed-loop callers
-	// (default 1000; the mux figure sweeps up to 10k).
-	Goroutines int
-	// Ops is the total operation budget per mode (default 200k).
-	Ops int
-	// PerConnOps is the (smaller) budget for the per-request-connection
-	// baseline, which is orders of magnitude slower (default 20k).
-	PerConnOps int
-	// ValueSize is the object size in bytes (default 128).
-	ValueSize int
-	// Keys is the working-set size (default 256).
-	Keys int
-	// MuxConns is the number of multiplexed sockets (default 8).
-	MuxConns int
+// clientMode is one client configuration of a network experiment.
+type clientMode struct {
+	name    string
+	ops     int
+	guarded bool
+	open    func() (kv.Store, io.Closer)
 }
 
-func (c ThroughputConfig) withDefaults() ThroughputConfig {
-	if c.Goroutines <= 0 {
-		c.Goroutines = 1000
+// runModes drives the closed-loop mixed workload through each mode.
+func runModes(rep *Report, goroutines, keys int, modes []clientMode) error {
+	for _, m := range modes {
+		st, closer := m.open()
+		mr, err := workload.RunMixed(context.Background(), st, workload.MixedConfig{
+			Clients:      goroutines,
+			Ops:          m.ops,
+			ReadFraction: 0.9,
+			Keys:         keys,
+			Size:         rep.Params["value_bytes"],
+			Seed:         42,
+			KeyPrefix:    "t/",
+		})
+		closer.Close()
+		if err != nil {
+			return fmt.Errorf("benchkit: mode %s: %w", m.name, err)
+		}
+		rep.Cells = append(rep.Cells, mixedCell(m.name, m.guarded, mr))
 	}
-	if c.Ops <= 0 {
-		c.Ops = 200_000
-	}
-	if c.PerConnOps <= 0 {
-		c.PerConnOps = 20_000
-	}
-	if c.ValueSize <= 0 {
-		c.ValueSize = 128
-	}
-	if c.Keys <= 0 {
-		c.Keys = 256
-	}
-	if c.MuxConns <= 0 {
-		c.MuxConns = 8
-	}
-	return c
+	return nil
 }
 
-// ThroughputResult is one client mode's measurement.
-type ThroughputResult struct {
-	Name       string  `json:"name"`
-	Goroutines int     `json:"goroutines"`
-	Ops        int64   `json:"ops"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	ReadP99Ms  float64 `json:"read_p99_ms"`
-	WriteP99Ms float64 `json:"write_p99_ms"`
-	Errors     int64   `json:"errors"`
-	// Guarded marks modes CI gates against the committed baseline
-	// (absolute latency varies across machines, so the gate is relative:
-	// ops/sec floor + p99 ceiling versus the baseline, plus the mux/perconn
-	// speedup ratio, which is machine-independent).
-	Guarded bool `json:"guarded"`
-}
-
-// ThroughputReport is the serialized experiment.
-type ThroughputReport struct {
-	Goroutines int                `json:"goroutines"`
-	ValueSize  int                `json:"value_bytes"`
-	MuxConns   int                `json:"mux_conns"`
-	Results    []ThroughputResult `json:"results"`
-	// MuxSpeedup is mux ops/sec over the per-request-connection baseline —
-	// the PR's headline number and the CI-gated ratio.
-	MuxSpeedup float64 `json:"mux_speedup"`
-}
-
-// RunThroughput starts an in-process miniredis server on loopback and
-// drives the closed-loop mixed workload through each client mode.
-func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
-	cfg = cfg.withDefaults()
+func runMux(smoke bool) (*Report, error) {
+	goroutines, ops, perConnOps, keys, conns := 1000, 200_000, 20_000, 256, 8
+	if smoke {
+		goroutines, ops, perConnOps, keys, conns = 16, 400, 100, 16, 2
+	}
 	srv := miniredis.NewServer(miniredis.ServerConfig{})
 	if err := srv.Start(); err != nil {
 		return nil, fmt.Errorf("benchkit: start server: %w", err)
 	}
 	defer srv.Close()
-	addr := srv.Addr()
-
-	rep := &ThroughputReport{
-		Goroutines: cfg.Goroutines,
-		ValueSize:  cfg.ValueSize,
-		MuxConns:   cfg.MuxConns,
+	mode := func(name string, ops int, guarded bool, opts miniredis.Options) clientMode {
+		return clientMode{name, ops, guarded, func() (kv.Store, io.Closer) {
+			c := miniredis.NewClientWith(srv.Addr(), opts)
+			return miniredis.NewStore(name, c, name+":"), c
+		}}
 	}
-
-	modes := []struct {
-		name    string
-		ops     int
-		guarded bool
-		opts    miniredis.Options
-	}{
+	rep := &Report{Experiment: "mux", Params: map[string]int{
+		"goroutines": goroutines, "value_bytes": 128, "mux_conns": conns,
+	}}
+	err := runModes(rep, goroutines, keys, []clientMode{
 		// The naive baseline: no reuse, a dial + socket per request. Needs
 		// headroom above the goroutine count so dials never queue.
-		{"perconn", cfg.PerConnOps, false, miniredis.Options{
-			MaxIdle: -1, MaxConns: cfg.Goroutines + 16,
-		}},
+		mode("perconn", perConnOps, false, miniredis.Options{MaxIdle: -1, MaxConns: goroutines + 16}),
 		// The bounded pool with idle reuse (the default client).
-		{"pooled", cfg.Ops, true, miniredis.Options{
-			MaxConns: 128, MaxIdle: 128,
-		}},
-		// The multiplexed hot path: all goroutines share MuxConns sockets.
-		{"mux", cfg.Ops, true, miniredis.Options{
-			Mux: true, MuxConns: cfg.MuxConns,
-		}},
-	}
-	for _, m := range modes {
-		res, err := runThroughputMode(addr, m.name, m.ops, cfg, m.opts)
-		if err != nil {
-			return nil, fmt.Errorf("benchkit: mode %s: %w", m.name, err)
-		}
-		res.Guarded = m.guarded
-		rep.Results = append(rep.Results, *res)
-	}
-
-	var perconn, mux float64
-	for _, r := range rep.Results {
-		switch r.Name {
-		case "perconn":
-			perconn = r.OpsPerSec
-		case "mux":
-			mux = r.OpsPerSec
-		}
-	}
-	if perconn > 0 {
-		rep.MuxSpeedup = mux / perconn
-	}
-	return rep, nil
-}
-
-func runThroughputMode(addr, name string, ops int, cfg ThroughputConfig, opts miniredis.Options) (*ThroughputResult, error) {
-	client := miniredis.NewClientWith(addr, opts)
-	st := miniredis.NewStore(name, client, name+":")
-	defer client.Close()
-
-	mr, err := workload.RunMixed(context.Background(), st, workload.MixedConfig{
-		Clients:      cfg.Goroutines,
-		Ops:          ops,
-		ReadFraction: 0.9,
-		Keys:         cfg.Keys,
-		Size:         cfg.ValueSize,
-		Seed:         42,
-		KeyPrefix:    "t/",
+		mode("pooled", ops, true, miniredis.Options{MaxConns: 128, MaxIdle: 128}),
+		// The multiplexed hot path: all goroutines share conns sockets.
+		mode("mux", ops, true, miniredis.Options{Mux: true, MuxConns: conns}),
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &ThroughputResult{
-		Name:       name,
-		Goroutines: cfg.Goroutines,
-		Ops:        mr.Ops,
-		OpsPerSec:  mr.Throughput,
-		ReadP99Ms:  float64(mr.ReadLatency.P99) / float64(time.Millisecond),
-		WriteP99Ms: float64(mr.WriteLatency.P99) / float64(time.Millisecond),
-		Errors:     mr.Errors,
-	}, nil
+	rep.Ratios = map[string]float64{"mux_speedup": opsRatio(rep, "mux", "perconn")}
+	return rep, nil
 }
 
-// WriteTo serializes the report as indented JSON.
-func (r *ThroughputReport) WriteTo(w io.Writer) (int64, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return 0, err
+func runHTTP(smoke bool) (*Report, error) {
+	goroutines, ops, perOpOps, keys := 256, 60_000, 10_000, 256
+	if smoke {
+		goroutines, ops, perOpOps, keys = 16, 400, 100, 16
 	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// LoadThroughputReport reads a report written by WriteTo.
-func LoadThroughputReport(rd io.Reader) (*ThroughputReport, error) {
-	var r ThroughputReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
+	srv := cloudsim.NewServer(cloudsim.LocalProfile("bench"))
+	if err := srv.Start(); err != nil {
+		return nil, fmt.Errorf("benchkit: start cloudsim server: %w", err)
+	}
+	defer srv.Close()
+	mode := func(name string, ops int, guarded bool, opts cloudsim.Options) clientMode {
+		return clientMode{name, ops, guarded, func() (kv.Store, io.Closer) {
+			c := cloudsim.NewClientWith(name, srv.Addr(), "bench-"+name, opts)
+			return c, c
+		}}
+	}
+	rep := &Report{Experiment: "http", Params: map[string]int{"goroutines": goroutines, "value_bytes": 128}}
+	err := runModes(rep, goroutines, keys, []clientMode{
+		// The naive baseline: no keep-alive, a dial + socket per request.
+		mode("perop", perOpOps, false, cloudsim.Options{DisableKeepAlives: true}),
+		// The tuned transport: phase timeouts plus a pool sized so every
+		// caller can hold a warm connection.
+		mode("tuned", ops, true, cloudsim.Options{MaxIdleConnsPerHost: goroutines}),
+		// Tuned pool plus GET coalescing: concurrent reads merge into
+		// ?batch=get round trips.
+		mode("coalesced", ops, true, cloudsim.Options{MaxIdleConnsPerHost: goroutines, Coalesce: true}),
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &r, nil
+	rep.Ratios = map[string]float64{"coalesce_speedup": opsRatio(rep, "coalesced", "perop")}
+	return rep, nil
 }
 
-// CompareThroughput checks current against baseline. Absolute numbers move
-// with the machine, so the gates are relative and generous — they catch
-// "the mux path broke", not CI-runner noise:
-//   - guarded modes must keep ≥ minOpsFrac of the baseline's ops/sec
-//     (e.g. 0.5 = no worse than half);
-//   - guarded modes' p99 may grow to at most p99Factor× baseline + 2 ms
-//     absolute grace (sub-millisecond baselines would otherwise gate on
-//     scheduler jitter);
-//   - the mux/perconn speedup must stay ≥ minSpeedup (the acceptance
-//     criterion, machine-independent).
-//
-// Returns a human-readable line per regression (empty = pass). Modes
-// present in only one report are ignored.
-func CompareThroughput(baseline, current *ThroughputReport, minOpsFrac, p99Factor, minSpeedup float64) []string {
-	regressions := compareModes(baseline.Results, current.Results, minOpsFrac, p99Factor)
-	if minSpeedup > 0 && current.MuxSpeedup > 0 && current.MuxSpeedup < minSpeedup {
-		regressions = append(regressions, fmt.Sprintf(
-			"mux speedup over perconn %.1fx below the %.1fx acceptance floor", current.MuxSpeedup, minSpeedup))
-	}
-	return regressions
+func writeMuxDat(w io.Writer, r *Report) error {
+	return writeRows(w, fmt.Sprintf("# extension: network hot-path throughput, mixed workload (90%% reads, %d goroutines, %d B values), loopback miniredis",
+		r.Params["goroutines"], r.Params["value_bytes"]), r, "mode", "ops_per_sec", "read_p99_ms", "write_p99_ms")
 }
 
-// compareModes applies the shared relative per-mode gates (ops/sec floor,
-// p99 ceiling, zero errors) to every guarded mode present in both reports.
-func compareModes(baseline, current []ThroughputResult, minOpsFrac, p99Factor float64) []string {
-	base := make(map[string]ThroughputResult, len(baseline))
-	for _, r := range baseline {
-		base[r.Name] = r
-	}
-	var regressions []string
-	for _, cur := range current {
-		if !cur.Guarded {
-			continue
-		}
-		b, ok := base[cur.Name]
-		if !ok {
-			continue
-		}
-		if floor := b.OpsPerSec * minOpsFrac; cur.OpsPerSec < floor {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: ops/sec %.0f -> %.0f (floor %.0f)", cur.Name, b.OpsPerSec, cur.OpsPerSec, floor))
-		}
-		const graceMs = 2.0
-		if ceil := b.ReadP99Ms*p99Factor + graceMs; cur.ReadP99Ms > ceil {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: read p99 %.2fms -> %.2fms (ceiling %.2fms)", cur.Name, b.ReadP99Ms, cur.ReadP99Ms, ceil))
-		}
-		if ceil := b.WriteP99Ms*p99Factor + graceMs; cur.WriteP99Ms > ceil {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: write p99 %.2fms -> %.2fms (ceiling %.2fms)", cur.Name, b.WriteP99Ms, cur.WriteP99Ms, ceil))
-		}
-		if cur.Errors > 0 {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %d errored operations", cur.Name, cur.Errors))
-		}
-	}
-	return regressions
+func writeHTTPDat(w io.Writer, r *Report) error {
+	return writeRows(w, fmt.Sprintf("# extension: cloudsim HTTP hot-path throughput, mixed workload (90%% reads, %d goroutines, %d B values), loopback cloudsim",
+		r.Params["goroutines"], r.Params["value_bytes"]), r, "mode", "ops_per_sec", "read_p99_ms", "write_p99_ms")
 }

@@ -185,12 +185,14 @@ func (m *muxConn) writeLoop() {
 				}
 				if err := m.writeCall(call); err != nil {
 					werr := fmt.Errorf("miniredis: mux write: %w", err)
+					// Poison before waking anyone, so a caller that
+					// retries at once sees a dead conn and redials.
+					m.poison(werr)
 					m.finish(call, nil, werr, true)
 					// Later batch entries never reached the wire.
 					for _, rest := range batch[bi+1:] {
 						m.finish(rest, nil, werr, false)
 					}
-					m.poison(werr)
 					return
 				}
 			}
@@ -247,8 +249,10 @@ func (m *muxConn) readLoop() {
 			v, err := m.r.Read()
 			if err != nil {
 				rerr := fmt.Errorf("miniredis: mux read reply: %w", err)
-				m.finish(call, nil, rerr, true)
+				// Poison first: once finish wakes the caller, its next
+				// command must not be written to this dying socket.
 				m.poison(rerr)
+				m.finish(call, nil, rerr, true)
 				return
 			}
 			replies[i] = v

@@ -650,11 +650,25 @@ func (c *Cluster) anyStale(resp []readResponse, winner record) bool {
 // repair installs winner on responders that lack it, stopping once have
 // replicas have been fixed (pass len(reps) to repair everything reachable).
 // It reports how many replicas now newly hold the winner.
+//
+// Responders that no longer replicate key are skipped: the read may have
+// been routed before a Join or Leave, and rebalanceKey — which holds the
+// same stripe lock — may already have drained key from them. Re-checking the
+// preference list under the lock keeps a late repair from leaving a stray
+// record on a departed node or a former holder.
 func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []readResponse, have int, locked bool) (int, error) {
 	if !locked {
 		lock := c.lockFor(key)
 		lock.Lock()
 		defer lock.Unlock()
+	}
+	reps, err := c.replicasFor(key)
+	if err != nil {
+		return 0, err
+	}
+	owner := make(map[string]bool, len(reps))
+	for _, rep := range reps {
+		owner[rep.id] = true
 	}
 	repaired := 0
 	var firstErr error
@@ -662,7 +676,7 @@ func (c *Cluster) repair(ctx context.Context, key string, winner record, resp []
 		if repaired >= have {
 			break
 		}
-		if r.err != nil || (r.exists && r.rec.Version >= winner.Version) {
+		if r.err != nil || (r.exists && r.rec.Version >= winner.Version) || !owner[r.rep.id] {
 			continue
 		}
 		if err := c.installIfNewer(ctx, r.rep.store, key, winner); err != nil {
